@@ -250,6 +250,51 @@ inline WindowedLatency windowed_latency(
   return out;
 }
 
+/// The serve rate ladder: rates from `lo` to at most `hi`, each 6 % above
+/// the last, rounded to 10 per second.
+inline std::vector<double> rate_ladder(double lo, double hi) {
+  std::vector<double> out;
+  for (double r = lo; r <= hi * (1.0 + 1e-9); r *= 1.06) {
+    out.push_back(std::round(r / 10.0) * 10.0);
+  }
+  return out;
+}
+
+/// How long one rung of the serve rate ladder runs at `rate` per second: at
+/// least `min_s`, and long enough to expect 1.25 x kWindowSamples requests,
+/// so that the rung's p99 rests on a sample the tail rule allows.
+inline double rung_seconds(double rate, double min_s) {
+  return std::max(min_s, 1.25 * static_cast<double>(kWindowSamples) / rate);
+}
+
+/// Does a rung of the rate ladder hold? It holds when no request failed,
+/// its sample supports a p99 by the tail rule, that p99 is within
+/// `p99_limit_ms`, and no backlog grows: the median latency of the last
+/// quarter of the rung stays within twice the first quarter's plus 1 ms.
+inline bool rung_holds(const LatencySeries& seg, int64_t failed,
+                       double duration_s, double p99_limit_ms) {
+  const auto n = static_cast<int64_t>(seg.size());
+  if (failed > 0 || tail_percentile(n) < 99.0) {
+    return false;
+  }
+  std::vector<double> all;
+  std::vector<double> head;
+  std::vector<double> tail;
+  for (const auto& [due, ms] : seg) {
+    all.push_back(ms);
+    if (due < duration_s / 4) {
+      head.push_back(ms);
+    } else if (due >= 3 * duration_s / 4) {
+      tail.push_back(ms);
+    }
+  }
+  if (head.empty() || tail.empty()) {
+    return false;
+  }
+  return percentile(all, 99.0) <= p99_limit_ms &&
+         median(tail) <= 2.0 * median(head) + 1.0;
+}
+
 /// Metric names: a letter or digit, then letters, digits, '_', '.', '-';
 /// at most 64 characters.
 inline bool valid_metric_name(const std::string& name) {

@@ -1,9 +1,10 @@
 // The repository benchmark. It drives the fademl library only through its
 // public API and times every layer from outside, by wrapping the calls:
 //
-//   craft     attacks::BatchAttack::run — {L-BFGS, FGSM, BIM} x {attacker-
-//             blind (TM-I gradients), filter-aware (TM-III gradients)} x
-//             deployed defenses {lap32, dct50, bits5+median1}
+//   craft     {L-BFGS, FGSM, BIM} x {attacker-blind (TM-I gradients),
+//             filter-aware (TM-III gradients)} x deployed defenses {lap32,
+//             dct50, bits5+median1}, at the figures' budget
+//             (bench::budget_for)
 //   evaluate  core::InferencePipeline::accuracy under TM-III for every filter
 //             of filters::paper_filter_sweep() plus dct50 and bits5+median1
 //   serve     a seeded Poisson open loop into serve::InferenceService
@@ -12,18 +13,27 @@
 //   train     nn::Trainer::fit of the default core::ExperimentConfig from
 //             scratch, then nn::{save,verify,load}_checkpoint
 //
-// Every run runs all four phases, interleaved in rounds; the workload picks
-// the batch regime ("batched": cohorts, batch-32 evaluation, micro-batched
-// serving; "single": one image per call wherever the caller chooses).
+// Every run runs all four phases, interleaved in rounds. The workload picks
+// the API the repository's callers use for craft and serve:
+//   batched    attacks::BatchAttack::run over the whole cohort (the figure
+//              benches fig5-fig9 and grid_common), serving micro-batched
+//              up to 8
+//   per_image  attacks::Attack::run from make_attack / make_fademl on one
+//              image, then InferencePipeline::predict (ablation_defense,
+//              core::analyze_scenario, examples/defense_evaluation),
+//              serving at ServiceConfig's default max_batch of 1
+// Evaluation and training have one form in the repository; both workloads
+// run it.
 //
-//   perfbench --model <ckpt> --work <dir> --workload batched|single
+//   perfbench --model-dir <dir> --work <dir> --workload batched|per_image
 //             --seed <n> --seconds <s> --trace 0|1
-//   perfbench --prepare-model <ckpt>
+//   perfbench --prepare-model <dir>
 //
-// --prepare-model trains the default experiment model (its fixed seed) and
-// writes the checkpoint every run loads. A run never trains the model it
-// measures: a checkpoint that fails verify_checkpoint, or a model below the
-// clean top-1 floor, fails the run.
+// --prepare-model builds the default experiment with core::make_experiment
+// cached in <dir>, which trains it there. A run only loads it: setup is
+// core::make_experiment on that cache after verify_checkpoint, so a
+// checkpoint that does not verify, or a model below the clean top-1 floor,
+// fails the run instead of retraining.
 //
 // The last stdout line is one JSON object {correct, attempted, failed,
 // metrics}; the line before it stamps provenance and per-phase operation
@@ -46,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bench_lib.hpp"
 #include "fademl/fademl.hpp"
 
@@ -60,7 +71,7 @@ using perfbench::ScopedSpan;
 /// (full default training reaches about 0.87; chance is 1/43).
 constexpr double kTop1Floor = 0.80;
 /// Setups per run; setup_s is their median.
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 9;
 /// Rounds the measured window is split into.
 constexpr int kRounds = 6;
 /// p99 limit of the serve rate ladder.
@@ -71,14 +82,14 @@ struct Options {
   uint64_t seed = 0;
   double seconds = 0.0;
   bool trace = false;
-  std::string model;
+  std::string model_dir;
   std::string work;
   std::string prepare;
 };
 
-/// The batch regime a workload runs every phase in.
+/// How a workload runs craft and serve (see the top of this file).
 struct Regime {
-  bool batched = true;
+  bool batched = true;  ///< BatchAttack cohorts; else one Attack::run per image
   int64_t craft_pairs = 0;
   size_t serve_max_batch = 1;
   double light_rps = 0.0;
@@ -94,19 +105,17 @@ Regime regime_for(const std::string& workload) {
     r.serve_max_batch = 8;
     r.light_rps = 1500.0;
     r.heavy_rps = 4000.0;
-    r.ladder_rps = {3000, 3400, 3800, 4300, 4800, 5400, 6000, 6700,
-                    7500, 8400, 9400, 10500, 11800, 13200, 14800};
-  } else if (workload == "single") {
+    r.ladder_rps = perfbench::rate_ladder(1500.0, 15000.0);
+  } else if (workload == "per_image") {
     r.batched = false;
     r.craft_pairs = 8;
     r.serve_max_batch = 1;
     r.light_rps = 1500.0;
     r.heavy_rps = 2000.0;
-    r.ladder_rps = {1500, 1700, 1900, 2100, 2400, 2700, 3000, 3400,
-                    3800, 4300, 4800, 5400, 6000, 6700, 7500};
+    r.ladder_rps = perfbench::rate_ladder(1000.0, 7500.0);
   } else {
     throw std::invalid_argument("unknown workload '" + workload +
-                                "' (batched | single)");
+                                "' (batched | per_image)");
   }
   return r;
 }
@@ -241,17 +250,18 @@ plan::PlanStats operator+(plan::PlanStats a, const plan::PlanStats& b) {
 
 // ---- model and data ------------------------------------------------------------
 
-data::SynthConfig synth_config(const core::ExperimentConfig& cfg) {
-  data::SynthConfig synth;
-  synth.image_size = cfg.image_size;
-  synth.train_per_class = cfg.train_per_class;
-  synth.test_per_class = cfg.test_per_class;
-  synth.seed = cfg.seed;
-  synth.train_blur_max = cfg.train_blur_max;
-  synth.train_noise_max = cfg.train_noise_max;
-  synth.noise_std = cfg.test_noise_std;
-  return synth;
+/// The default experiment with its model cached in `dir`.
+core::ExperimentConfig experiment_config(const std::string& dir) {
+  core::ExperimentConfig cfg;
+  cfg.cache_dir = dir;
+  cfg.verbose = false;
+  return cfg;
 }
+
+// The train phase fits with its own copy of core::make_experiment's recipe:
+// it needs the trainer's epoch callback, a seed of its own and no snapshot
+// files. --prepare-model checks that the copy trains bitwise the same model
+// as make_experiment does, so the two cannot drift apart unnoticed.
 
 /// A freshly initialized default-architecture VGG (weights from `seed`).
 std::shared_ptr<nn::Sequential> make_model(const core::ExperimentConfig& cfg,
@@ -262,7 +272,7 @@ std::shared_ptr<nn::Sequential> make_model(const core::ExperimentConfig& cfg,
   return nn::make_vggnet(vgg, rng);
 }
 
-/// The default experiment's SGD recipe, for `epochs` epochs.
+/// make_experiment's SGD recipe, for `epochs` epochs.
 double fit_model(nn::Sequential& model, const core::ExperimentConfig& cfg,
                  const data::Dataset& train, uint64_t seed, int64_t epochs,
                  const nn::Trainer::EpochCallback& on_epoch) {
@@ -307,20 +317,22 @@ bool same_parameters(nn::Module& a, nn::Module& b) {
   return true;
 }
 
+void require_verified(const std::string& path, perfbench::Tracer& tracer) {
+  ScopedSpan span(tracer, "nn.checkpoint_verify");
+  const nn::CheckpointVerdict verdict = nn::verify_checkpoint(path);
+  if (verdict.status != nn::CheckpointStatus::kOk) {
+    throw std::runtime_error(
+        "model checkpoint " + path + " does not verify (" +
+        (verdict.status == nn::CheckpointStatus::kMissing ? "missing"
+                                                          : verdict.detail) +
+        ")");
+  }
+}
+
 std::shared_ptr<nn::Sequential> load_verified(const core::ExperimentConfig& cfg,
                                               const std::string& path,
                                               perfbench::Tracer& tracer) {
-  {
-    ScopedSpan span(tracer, "nn.checkpoint_verify");
-    const nn::CheckpointVerdict verdict = nn::verify_checkpoint(path);
-    if (verdict.status != nn::CheckpointStatus::kOk) {
-      throw std::runtime_error(
-          "model checkpoint " + path + " does not verify (" +
-          (verdict.status == nn::CheckpointStatus::kMissing ? "missing"
-                                                            : verdict.detail) +
-          ")");
-    }
-  }
+  require_verified(path, tracer);
   auto model = make_model(cfg, cfg.seed);
   {
     ScopedSpan span(tracer, "nn.checkpoint_load");
@@ -330,65 +342,60 @@ std::shared_ptr<nn::Sequential> load_verified(const core::ExperimentConfig& cfg,
   return model;
 }
 
-int prepare_model(const std::string& path) {
-  const core::ExperimentConfig cfg;
-  const auto t0 = Clock::now();
-  const data::SynthGtsrb ds = data::make_synthetic_gtsrb(synth_config(cfg));
-  auto model = make_model(cfg, cfg.seed);
-  fit_model(*model, cfg, ds.train, cfg.seed, cfg.epochs, nullptr);
-  model->set_training(false);
-  std::filesystem::create_directories(
-      std::filesystem::path(path).parent_path());
-  nn::save_checkpoint(*model, path);
-  const nn::CheckpointVerdict verdict = nn::verify_checkpoint(path);
-  if (verdict.status != nn::CheckpointStatus::kOk) {
-    std::fprintf(stderr, "[perfbench] prepared checkpoint does not verify: %s\n",
-                 verdict.detail.c_str());
-    return 1;
+void require_top1_floor(double top1) {
+  if (top1 < kTop1Floor) {
+    throw std::runtime_error("model clean top-1 " + std::to_string(top1) +
+                             " is below the floor " +
+                             std::to_string(kTop1Floor));
   }
-  const nn::EvalResult clean =
-      nn::evaluate(*model, ds.test.images, ds.test.labels);
+}
+
+/// Trains the default experiment into `dir` with core::make_experiment,
+/// then checks it and the train phase's copy of the recipe.
+int prepare_model(const std::string& dir) {
+  const auto t0 = Clock::now();
+  core::ExperimentConfig cfg = experiment_config(dir);
+  cfg.verbose = true;
+  const core::Experiment exp = core::make_experiment(cfg);
+  perfbench::Tracer untraced;
+  require_verified(cfg.checkpoint_path(), untraced);
   std::fprintf(stderr,
                "[perfbench] prepared model in %.1f s: clean top-1 %.4f, "
                "top-5 %.4f, parameter crc %08x\n",
-               seconds_since(t0), clean.top1, clean.top5, parameter_crc(*model));
-  if (clean.top1 < kTop1Floor) {
-    std::fprintf(stderr, "[perfbench] clean top-1 %.4f is below the floor %.2f\n",
-                 clean.top1, kTop1Floor);
-    std::filesystem::remove(path);
-    return 1;
+               seconds_since(t0), exp.clean_test.top1, exp.clean_test.top5,
+               parameter_crc(*exp.model));
+  require_top1_floor(exp.clean_test.top1);
+
+  core::ExperimentConfig one_epoch = experiment_config(dir + "/recipe-check");
+  one_epoch.epochs = 1;
+  const core::Experiment reference = core::make_experiment(one_epoch);
+  auto copy = make_model(one_epoch, one_epoch.seed);
+  fit_model(*copy, one_epoch, exp.dataset.train, one_epoch.seed, 1, nullptr);
+  std::filesystem::remove_all(one_epoch.cache_dir);
+  if (!same_parameters(*copy, *reference.model)) {
+    throw std::runtime_error(
+        "the train phase's recipe no longer trains the model "
+        "core::make_experiment trains; update make_model / fit_model");
   }
   return 0;
 }
 
 // ---- setup -------------------------------------------------------------------------
 
-struct Setup {
-  data::SynthGtsrb data;
-  std::shared_ptr<nn::Sequential> model;
-  double top1 = 0.0;
-  double top5 = 0.0;
-};
-
-Setup run_setup(const core::ExperimentConfig& cfg, const std::string& ckpt,
-                perfbench::Tracer& tracer) {
-  Setup s;
+/// One setup: core::make_experiment on the prepared cache (data synthesis,
+/// checkpoint load, clean evaluation), after a verify_checkpoint that keeps
+/// it from ever training.
+core::Experiment run_setup(const core::ExperimentConfig& cfg,
+                           perfbench::Tracer& tracer) {
+  require_verified(cfg.checkpoint_path(), tracer);
+  core::Experiment exp;
   {
-    ScopedSpan span(tracer, "data.synth");
-    s.data = data::make_synthetic_gtsrb(synth_config(cfg));
+    ScopedSpan span(tracer, "core.make_experiment");
+    exp = core::make_experiment(cfg);
   }
-  s.model = load_verified(cfg, ckpt, tracer);
-  const core::InferencePipeline clean(s.model, filters::make_identity());
-  const core::InferencePipeline::Accuracy acc = clean.accuracy(
-      s.data.test.images, s.data.test.labels, core::ThreatModel::kI);
-  s.top1 = acc.top1;
-  s.top5 = acc.top5;
-  if (s.top1 < kTop1Floor) {
-    throw std::runtime_error("model clean top-1 " + std::to_string(s.top1) +
-                             " is below the floor " +
-                             std::to_string(kTop1Floor));
-  }
-  return s;
+  exp.model->set_training(false);
+  require_top1_floor(exp.clean_test.top1);
+  return exp;
 }
 
 // ---- craft ---------------------------------------------------------------------------
@@ -407,19 +414,6 @@ std::vector<Defense> make_defenses(const std::shared_ptr<nn::Sequential>& m) {
   d.push_back({"squeeze", std::make_unique<core::InferencePipeline>(
                               m, filters::parse_filter("bits5+median1"))});
   return d;
-}
-
-/// The figures' attack budget (the bench::paper_budget settings): L-inf
-/// 0.15 with 40 iterations to 90 % target confidence; FGSM reports its
-/// smallest successful step on an epsilon grid up to 0.28.
-attacks::AttackConfig craft_budget(attacks::AttackKind kind) {
-  attacks::AttackConfig config;
-  config.epsilon = kind == attacks::AttackKind::kFgsm ? 0.28f : 0.15f;
-  config.step_size = 0.015f;
-  config.max_iterations = 40;
-  config.target_confidence = 0.90f;
-  config.fgsm_epsilon_search = true;
-  return config;
 }
 
 const char* kind_name(attacks::AttackKind kind) {
@@ -452,27 +446,27 @@ struct CraftPass {
 /// construction; each round runs whole passes of the attack matrix.
 class Craft {
  public:
-  Craft(const Setup& setup, const Regime& regime, uint64_t seed,
+  Craft(const core::Experiment& exp, const Regime& regime, uint64_t seed,
         Checks& checks, perfbench::Tracer& tracer)
       : regime_(regime),
         checks_(checks),
         tracer_(tracer),
         blind_(std::make_unique<core::InferencePipeline>(
-            setup.model, filters::make_identity())),
-        defenses_(make_defenses(setup.model)) {
+            exp.model, filters::make_identity())),
+        defenses_(make_defenses(exp.model)) {
     // The paper's five payload scenarios, on the canonical samples they
     // start from, lead the cohort; the rest of its class pairs get test
     // images the clean model classifies correctly, picked by the seed. The
     // fixed half keeps the cohort's difficulty, and with it the attack
     // time, from swinging with the seed.
+    const data::Dataset& test = exp.dataset.test;
     std::vector<perfbench::ClassPair> scenarios;
     for (const core::Scenario& sc : core::paper_scenarios()) {
       scenarios.push_back({sc.source_class, sc.target_class});
-      sources_.push_back(data::canonical_sample(sc.source_class,
-                                                setup.data.test.images[0].dim(1)));
+      sources_.push_back(
+          data::canonical_sample(sc.source_class, exp.config.image_size));
       targets_.push_back(sc.target_class);
     }
-    const data::Dataset& test = setup.data.test;
     const std::vector<core::Prediction> clean = blind_->predict_batch(
         nn::stack_images(test.images), core::ThreatModel::kI);
     std::vector<int64_t> candidates;
@@ -552,59 +546,38 @@ class Craft {
   }
 
  private:
-  /// One BatchAttack over the cohort: one call in the batched regime, one
-  /// call per pair in the single regime.
-  std::vector<attacks::AttackResult> attack(attacks::AttackKind kind,
-                                            bool aware,
-                                            const core::InferencePipeline& p,
-                                            CraftPass& tally) {
-    const attacks::BatchAttack driver(kind, craft_budget(kind), aware);
-    const std::string span =
-        std::string("attacks.") + kind_name(kind) + (aware ? ".aware" : ".blind");
+  /// Adversarials of one attack over the cohort, and which of them reach
+  /// their target under TM-III through the deployed defense.
+  struct Cells {
+    std::vector<attacks::AttackResult> results;
+    int64_t hits = 0;
+  };
+
+  static std::string span_name(attacks::AttackKind kind, bool aware) {
+    return std::string("attacks.") + kind_name(kind) +
+           (aware ? ".aware" : ".blind");
+  }
+
+  /// The batched API: one BatchAttack::run over the cohort, gradients
+  /// routed through `p`.
+  std::vector<attacks::AttackResult> craft_batch(
+      attacks::AttackKind kind, bool aware, const core::InferencePipeline& p,
+      CraftPass& tally) {
+    const attacks::BatchAttack driver(kind, bench::budget_for(kind), aware);
     std::vector<attacks::AttackResult> out;
     const auto t0 = Clock::now();
-    if (regime_.batched) {
-      ScopedSpan s(tracer_, span);
+    {
+      ScopedSpan s(tracer_, span_name(kind, aware));
       out = driver.run(p, sources_, targets_);
-    } else {
-      for (size_t i = 0; i < sources_.size(); ++i) {
-        ScopedSpan s(tracer_, span);
-        std::vector<attacks::AttackResult> one =
-            driver.run(p, {sources_[i]}, {targets_[i]});
-        out.push_back(std::move(one.front()));
-      }
     }
     tally.attack_seconds += seconds_since(t0);
-    const float eps = craft_budget(kind).epsilon;
-    for (size_t i = 0; i < out.size(); ++i) {
-      const attacks::AttackResult& r = out[i];
-      tally.grads += r.iterations;
-      const float* adv = r.adversarial.data();
-      const float* src = sources_[i].data();
-      bool finite = true;
-      bool in_range = true;
-      bool in_ball = true;
-      for (int64_t k = 0; k < r.adversarial.numel(); ++k) {
-        finite = finite && std::isfinite(adv[k]);
-        in_range = in_range && adv[k] >= 0.0f && adv[k] <= 1.0f;
-        in_ball = in_ball && std::fabs(adv[k] - src[k]) <= eps + 1e-5f;
-      }
-      checks_.expect(finite && in_range && in_ball,
-                    span + " pair " + std::to_string(i) +
-                        ": adversarial not finite, outside [0, 1] or outside "
-                        "its epsilon-ball");
-      tally.fingerprint =
-          crc32(adv, static_cast<size_t>(r.adversarial.numel()) * sizeof(float),
-                tally.fingerprint);
-      tally.fingerprint = crc32(&r.iterations, sizeof r.iterations,
-                               tally.fingerprint);
-    }
     return out;
   }
 
-  /// Cells of `results` whose TM-III label under `d` is the target.
-  int64_t successes(const std::vector<attacks::AttackResult>& results,
-                    const Defense& d) {
+  /// Cells of `results` whose TM-III label under `d` is the target, from
+  /// one predict_probs_batch.
+  int64_t batch_hits(const std::vector<attacks::AttackResult>& results,
+                     const Defense& d) {
     std::vector<Tensor> advs;
     for (const attacks::AttackResult& r : results) {
       advs.push_back(r.adversarial);
@@ -626,48 +599,117 @@ class Craft {
     return hits;
   }
 
+  /// The per-image API: Attack::run on each pair against the deployed
+  /// pipeline, then InferencePipeline::predict of the adversarial under
+  /// TM-III, as ablation_defense and core::analyze_scenario do.
+  Cells craft_each(attacks::AttackKind kind, bool aware, const Defense& d,
+                   CraftPass& tally) {
+    const attacks::AttackPtr attack =
+        aware ? attacks::make_fademl(kind, bench::budget_for(kind))
+              : attacks::make_attack(kind, bench::budget_for(kind));
+    Cells out;
+    const auto t0 = Clock::now();
+    {
+      ScopedSpan s(tracer_, span_name(kind, aware));
+      for (size_t i = 0; i < sources_.size(); ++i) {
+        out.results.push_back(attack->run(*d.pipeline, sources_[i], targets_[i]));
+      }
+    }
+    tally.attack_seconds += seconds_since(t0);
+    ScopedSpan s(tracer_, "core.predict");
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      if (d.pipeline->predict(out.results[i].adversarial,
+                              core::ThreatModel::kIII)
+              .label == targets_[i]) {
+        ++out.hits;
+      }
+    }
+    return out;
+  }
+
+  /// Output checks and the pass fingerprint over one attack's adversarials.
+  void check(const std::vector<attacks::AttackResult>& results,
+             attacks::AttackKind kind, bool aware, CraftPass& tally) {
+    const float eps = bench::budget_for(kind).epsilon;
+    for (size_t i = 0; i < results.size(); ++i) {
+      const attacks::AttackResult& r = results[i];
+      tally.grads += r.iterations;
+      const float* adv = r.adversarial.data();
+      const float* src = sources_[i].data();
+      bool finite = true;
+      bool in_range = true;
+      bool in_ball = true;
+      for (int64_t k = 0; k < r.adversarial.numel(); ++k) {
+        finite = finite && std::isfinite(adv[k]);
+        in_range = in_range && adv[k] >= 0.0f && adv[k] <= 1.0f;
+        in_ball = in_ball && std::fabs(adv[k] - src[k]) <= eps + 1e-5f;
+      }
+      checks_.expect(finite && in_range && in_ball,
+                     span_name(kind, aware) + " pair " + std::to_string(i) +
+                         ": adversarial not finite, outside [0, 1] or "
+                         "outside its epsilon-ball");
+      tally.fingerprint =
+          crc32(adv, static_cast<size_t>(r.adversarial.numel()) * sizeof(float),
+                tally.fingerprint);
+      tally.fingerprint = crc32(&r.iterations, sizeof r.iterations,
+                                tally.fingerprint);
+    }
+  }
+
+  /// One attack against one defense. Batched, the attacker-blind cohort is
+  /// crafted once on the undefended TM-I gradient (`blind`) and deployed
+  /// against every defense; per image, every cell runs its own attack, as
+  /// the per-image callers do.
+  Cells cells(attacks::AttackKind kind, bool aware, const Defense& d,
+              std::vector<attacks::AttackResult>& blind, CraftPass& tally) {
+    if (!regime_.batched) {
+      Cells c = craft_each(kind, aware, d, tally);
+      check(c.results, kind, aware, tally);
+      return c;
+    }
+    Cells c;
+    if (aware) {
+      c.results = craft_batch(kind, true, *d.pipeline, tally);
+      check(c.results, kind, true, tally);
+    } else {
+      if (blind.empty()) {
+        blind = craft_batch(kind, false, *blind_, tally);
+        check(blind, kind, false, tally);
+      }
+      c.results = blind;
+    }
+    c.hits = batch_hits(c.results, d);
+    return c;
+  }
+
   CraftPass pass() {
     ScopedSpan span(tracer_, "craft.pass");
     CraftPass p;
     const auto t0 = Clock::now();
     const auto pairs = static_cast<int64_t>(sources_.size());
-    for (attacks::AttackKind kind :
-         {attacks::AttackKind::kLbfgs, attacks::AttackKind::kFgsm,
-          attacks::AttackKind::kBim}) {
-      // Attacker-blind: crafted once on the undefended TM-I gradient, then
-      // deployed against every defense.
-      try {
-        const std::vector<attacks::AttackResult> blind_results =
-            attack(kind, false, *blind_, p);
+    for (attacks::AttackKind kind : bench::paper_attack_kinds()) {
+      std::vector<attacks::AttackResult> blind;
+      for (bool aware : {false, true}) {
         for (const Defense& d : defenses_) {
-          const int64_t hits = successes(blind_results, d);
-          if (d.name == "lap32") {
-            p.lap_blind_successes += hits;
+          try {
+            const int64_t hits = cells(kind, aware, d, blind, p).hits;
+            if (aware) {
+              p.aware_successes += hits;
+            }
+            if (d.name == "lap32") {
+              (aware ? p.lap_aware_successes : p.lap_blind_successes) += hits;
+            }
+          } catch (const std::exception& e) {
+            std::fprintf(stderr, "[perfbench] %s via %s threw: %s\n",
+                         span_name(kind, aware).c_str(), d.name.c_str(),
+                         e.what());
+            p.failed_cells += pairs;
+          }
+          p.cells += pairs;
+          if (aware) {
+            p.aware_cells += pairs;
           }
         }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "[perfbench] blind %s threw: %s\n",
-                     kind_name(kind), e.what());
-        p.failed_cells += pairs * static_cast<int64_t>(defenses_.size());
-      }
-      p.cells += pairs * static_cast<int64_t>(defenses_.size());
-      // Filter-aware: re-crafted through each deployed defense.
-      for (const Defense& d : defenses_) {
-        try {
-          const std::vector<attacks::AttackResult> aware_results =
-              attack(kind, true, *d.pipeline, p);
-          const int64_t hits = successes(aware_results, d);
-          p.aware_successes += hits;
-          if (d.name == "lap32") {
-            p.lap_aware_successes += hits;
-          }
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "[perfbench] aware %s via %s threw: %s\n",
-                       kind_name(kind), d.name.c_str(), e.what());
-          p.failed_cells += pairs;
-        }
-        p.cells += pairs;
-        p.aware_cells += pairs;
       }
     }
     p.seconds = seconds_since(t0);
@@ -704,26 +746,16 @@ struct EvalPass {
 
 EvalPass evaluate_pass(
     const std::vector<std::unique_ptr<core::InferencePipeline>>& pipelines,
-    const data::Dataset& test, bool batched, perfbench::Tracer& tracer) {
+    const data::Dataset& test, perfbench::Tracer& tracer) {
   ScopedSpan span(tracer, "evaluate.pass");
   EvalPass p;
   const auto t0 = Clock::now();
   for (const auto& pipeline : pipelines) {
     core::InferencePipeline::Accuracy acc;
-    if (batched) {
+    {
       ScopedSpan s(tracer, "core.accuracy");
       acc = pipeline->accuracy(test.images, test.labels,
                                core::ThreatModel::kIII);
-    } else {
-      for (size_t i = 0; i < test.images.size(); ++i) {
-        ScopedSpan s(tracer, "core.accuracy");
-        const core::InferencePipeline::Accuracy one = pipeline->accuracy(
-            {test.images[i]}, {test.labels[i]}, core::ThreatModel::kIII);
-        acc.top1 += one.top1;
-        acc.top5 += one.top5;
-      }
-      acc.top1 /= static_cast<double>(test.images.size());
-      acc.top5 /= static_cast<double>(test.images.size());
     }
     p.top1.push_back(acc.top1);
     p.top5.push_back(acc.top5);
@@ -745,33 +777,20 @@ std::vector<std::unique_ptr<core::InferencePipeline>> evaluate_pipelines(
   return out;
 }
 
-/// The evaluation set: the full test set in the batched regime; every
-/// fourth test image in the single regime, whose one-image calls would
-/// otherwise leave a round room for a single pass.
-data::Dataset evaluate_set(const Setup& setup, const Regime& regime) {
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < setup.data.test.size(); i += regime.batched ? 1 : 4) {
-    keep.push_back(i);
-  }
-  return setup.data.test.subset(keep);
-}
-
 class Evaluate {
  public:
-  Evaluate(const Setup& setup, const Regime& regime, Checks& checks,
+  Evaluate(const core::Experiment& exp, Checks& checks,
            perfbench::Tracer& tracer)
-      : regime_(regime),
-        checks_(checks),
+      : checks_(checks),
         tracer_(tracer),
-        set_(evaluate_set(setup, regime)),
-        pipelines_(evaluate_pipelines(setup.model)) {}
+        test_(exp.dataset.test),
+        pipelines_(evaluate_pipelines(exp.model)) {}
 
   void round(double budget_s) {
     account_.begin();
     const auto t0 = Clock::now();
     do {
-      passes_.push_back(
-          evaluate_pass(pipelines_, set_, regime_.batched, tracer_));
+      passes_.push_back(evaluate_pass(pipelines_, test_, tracer_));
     } while (seconds_since(t0) < budget_s);
     account_.end();
   }
@@ -808,10 +827,9 @@ class Evaluate {
   }
 
  private:
-  const Regime& regime_;
   Checks& checks_;
   perfbench::Tracer& tracer_;
-  data::Dataset set_;
+  const data::Dataset& test_;
   std::vector<std::unique_ptr<core::InferencePipeline>> pipelines_;
   PhaseAccount account_;
   std::vector<EvalPass> passes_;
@@ -826,31 +844,6 @@ struct Segment {
   int64_t failed = 0;
 };
 
-/// Does a ladder rung hold: no failures, p99 within the limit, and no
-/// growing backlog (the last quarter's median latency stays within twice
-/// the first quarter's, plus one millisecond)?
-bool rung_holds(const Segment& seg, double duration_s) {
-  if (seg.failed > 0 || seg.latencies.empty()) {
-    return false;
-  }
-  std::vector<double> all;
-  std::vector<double> head;
-  std::vector<double> tail;
-  for (const auto& [due, ms] : seg.latencies) {
-    all.push_back(ms);
-    if (due < duration_s / 4) {
-      head.push_back(ms);
-    } else if (due >= 3 * duration_s / 4) {
-      tail.push_back(ms);
-    }
-  }
-  if (head.empty() || tail.empty()) {
-    return false;
-  }
-  return perfbench::percentile(all, 99.0) <= kServeP99LimitMs &&
-         perfbench::median(tail) <= 2.0 * perfbench::median(head) + 1.0;
-}
-
 /// The serve phase: each round starts a fresh service (it lowers the
 /// global intra-op thread count for its lifetime, so it must not outlive
 /// the round), warms it, and runs one light and one heavy segment; the
@@ -860,23 +853,20 @@ class Serve {
   static constexpr int64_t kPool = 64;
   static constexpr int64_t kReplicas = 2;
 
-  Serve(const core::ExperimentConfig& cfg, const std::string& ckpt,
-        const Setup& setup, const Regime& regime, uint64_t seed,
+  Serve(const core::Experiment& exp, const Regime& regime, uint64_t seed,
         Checks& checks, perfbench::Tracer& tracer)
-      : cfg_(cfg),
-        ckpt_(ckpt),
+      : exp_(exp),
         regime_(regime),
         seed_(seed),
         checks_(checks),
         tracer_(tracer) {
     // The request images: a seeded draw from the test set.
+    const std::vector<Tensor>& test = exp.dataset.test.images;
     perfbench::SeedStream pick(perfbench::derive_seed(seed, 3));
     for (int64_t i = 0; i < kPool; ++i) {
-      pool_.push_back(
-          setup.data.test.images[pick.below(setup.data.test.images.size())]);
+      pool_.push_back(test[pick.below(test.size())]);
     }
-    const core::InferencePipeline reference(setup.model,
-                                            filters::make_lap(32));
+    const core::InferencePipeline reference(exp.model, filters::make_lap(32));
     reference_ = reference.predict_probs_batch(nn::stack_images(pool_),
                                                core::ThreatModel::kIII);
   }
@@ -899,10 +889,12 @@ class Serve {
   }
 
   /// One climb of the rate ladder: a binary search for the highest rate
-  /// that holds, testing each probed rate for `rung_s` seconds. A rate
-  /// that misses gets one more attempt, so a transient stall of the
-  /// machine does not end the climb. serve.max_rps is the best climb.
-  void ladder(double rung_s) {
+  /// that holds, running each probed rate for rung_seconds(rate, min_s). A
+  /// rate holds when two of up to three attempts hold, so neither a lucky
+  /// burst nor a transient stall of the machine decides a rung alone.
+  /// serve.max_rps is the best climb: other tenants of the machine can only
+  /// lower a climb (see best_rate).
+  void ladder(double min_s) {
     account_.begin();
     auto service = start();
     const std::vector<double>& rates = regime_.ladder_rps;
@@ -910,12 +902,17 @@ class Serve {
     size_t hi = rates.size();  // rates[hi] misses (hi == size: none known to)
     while (lo < hi) {
       const size_t mid = lo + (hi - lo) / 2;
-      bool holds = false;
-      for (int attempt = 0; attempt < 2 && !holds; ++attempt) {
+      const double rung_s = perfbench::rung_seconds(rates[mid], min_s);
+      int holds = 0;
+      int misses = 0;
+      while (holds < 2 && misses < 2) {
         segments_.push_back(run(*service, schedule(rates[mid], rung_s)));
-        holds = rung_holds(segments_.back(), rung_s);
+        const bool held = perfbench::rung_holds(segments_.back().latencies,
+                                                segments_.back().failed,
+                                                rung_s, kServeP99LimitMs);
+        (held ? holds : misses) += 1;
       }
-      if (holds) {
+      if (holds == 2) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -984,7 +981,7 @@ class Serve {
     std::future<serve::InferenceResult> result;
     int64_t image = 0;
     double due_s = 0.0;
-    double lag_ms = 0.0;
+    double due_to_return_ms = 0.0;  ///< due instant -> submit() returned
   };
 
   void settle(Pending& p, Segment& seg) {
@@ -997,7 +994,10 @@ class Serve {
                       static_cast<size_t>(classes) * sizeof(float)) != 0) {
         ++mismatches_;
       }
-      seg.latencies.emplace_back(p.due_s, p.lag_ms + r.total_ms);
+      // The service clocks total_ms from inside submit(), after admission;
+      // adding the whole submit() call to it charges admission too, at the
+      // price of counting the enqueue that ends submit() twice (a few us).
+      seg.latencies.emplace_back(p.due_s, p.due_to_return_ms + r.total_ms);
     } catch (const std::exception&) {
       ++seg.failed;
     }
@@ -1027,9 +1027,13 @@ class Serve {
       seg.lag_ms.push_back(lag);
       ++seg.sent;
       try {
-        ScopedSpan s(tracer_, "serve.submit");
-        pending.push_back({service.submit(pool_[static_cast<size_t>(a.image)]),
-                           a.image, a.due_s, lag});
+        std::future<serve::InferenceResult> result;
+        {
+          ScopedSpan s(tracer_, "serve.submit");
+          result = service.submit(pool_[static_cast<size_t>(a.image)]);
+        }
+        pending.push_back({std::move(result), a.image, a.due_s,
+                           ms_between(due, Clock::now())});
       } catch (const std::exception&) {
         ++seg.failed;
       }
@@ -1042,16 +1046,17 @@ class Serve {
 
   std::unique_ptr<serve::InferenceService> start() {
     std::vector<std::unique_ptr<core::InferencePipeline>> replicas;
-    perfbench::Tracer untraced;
     for (int64_t i = 0; i < kReplicas; ++i) {
       replicas.push_back(std::make_unique<core::InferencePipeline>(
-          load_verified(cfg_, ckpt_, untraced), filters::make_lap(32)));
+          bench::replicate_model(exp_), filters::make_lap(32)));
     }
     serve::ServiceConfig config;
+    // Deep enough that no light or heavy request is ever shed: an
+    // overloaded ladder rung shows as a growing backlog instead.
     config.queue_capacity = 16384;
     config.threat_model = core::ThreatModel::kIII;
-    config.admission.expected_height = cfg_.image_size;
-    config.admission.expected_width = cfg_.image_size;
+    config.admission.expected_height = exp_.config.image_size;
+    config.admission.expected_width = exp_.config.image_size;
     config.max_batch = regime_.serve_max_batch;
     return std::make_unique<serve::InferenceService>(std::move(replicas),
                                                      config);
@@ -1079,8 +1084,7 @@ class Serve {
         perfbench::derive_seed(seed_, 100 + segment_++), rate, seconds, kPool);
   }
 
-  const core::ExperimentConfig& cfg_;
-  const std::string& ckpt_;
+  const core::Experiment& exp_;
   const Regime& regime_;
   uint64_t seed_;
   Checks& checks_;
@@ -1109,10 +1113,10 @@ class Serve {
 /// saves, verifies and reloads it.
 class Train {
  public:
-  Train(const core::ExperimentConfig& cfg, const Setup& setup, uint64_t seed,
-        const std::string& work, Checks& checks, perfbench::Tracer& tracer)
-      : cfg_(cfg),
-        setup_(setup),
+  Train(const core::Experiment& exp, uint64_t seed, const std::string& work,
+        Checks& checks, perfbench::Tracer& tracer)
+      : cfg_(exp.config),
+        exp_(exp),
         seed_(seed),
         path_(work + "/train_pass.fdml"),
         checks_(checks),
@@ -1134,12 +1138,12 @@ class Train {
                      "train: seeded training is not deterministic across "
                      "passes");
     }
-    const data::Dataset& train = setup_.data.train;
+    const data::Dataset& train = exp_.dataset.train;
     ops.attempted += static_cast<int64_t>(losses_.size()) *
                      ((train.size() + cfg_.batch_size - 1) / cfg_.batch_size);
     log_series("train samples/s per pass", rate_);
     e2e.push_back({"train.samples_per_s", perfbench::best_rate(rate_), "1/s"});
-    e2e.push_back({"train.top1", setup_.top1, "ratio"});
+    e2e.push_back({"train.top1", exp_.clean_test.top1, "ratio"});
     layer.push_back({"nn.epoch_ms", perfbench::median(epoch_ms_), "ms"});
     account_.report("train", static_cast<int64_t>(losses_.size()), layer);
     std::filesystem::remove(path_);
@@ -1150,7 +1154,7 @@ class Train {
  private:
   void pass() {
     ScopedSpan span(tracer_, "train.pass");
-    const data::Dataset& train = setup_.data.train;
+    const data::Dataset& train = exp_.dataset.train;
     auto model = make_model(cfg_, seed_);
     auto epoch_start = Clock::now();
     const auto fit_start = epoch_start;
@@ -1178,7 +1182,7 @@ class Train {
   }
 
   const core::ExperimentConfig& cfg_;
-  const Setup& setup_;
+  const core::Experiment& exp_;
   uint64_t seed_;
   std::string path_;
   Checks& checks_;
@@ -1205,25 +1209,55 @@ double median_ms(int warm, int reps, const std::function<void()>& fn) {
   return perfbench::median(ms);
 }
 
-Tensor test_batch(const Setup& setup, int64_t n) {
-  std::vector<Tensor> images(setup.data.test.images.begin(),
-                             setup.data.test.images.begin() + n);
+Tensor test_batch(const core::Experiment& exp, int64_t n) {
+  std::vector<Tensor> images(exp.dataset.test.images.begin(),
+                             exp.dataset.test.images.begin() + n);
   return nn::stack_images(images);
 }
 
-void run_layer_probes(const core::ExperimentConfig& cfg, const Setup& setup,
+uint32_t images_crc(const data::Dataset& d) {
+  uint32_t crc = 0;
+  for (const Tensor& t : d.images) {
+    crc = crc32(t.data(), static_cast<size_t>(t.numel()) * sizeof(float), crc);
+  }
+  return crc;
+}
+
+/// data.synth_ms: the data synthesis inside core::make_experiment, timed
+/// alone. The check keeps the probe's SynthConfig on make_experiment's.
+double synth_probe_ms(const core::Experiment& exp, Checks& checks) {
+  const core::ExperimentConfig& cfg = exp.config;
+  data::SynthConfig synth;
+  synth.image_size = cfg.image_size;
+  synth.train_per_class = cfg.train_per_class;
+  synth.test_per_class = cfg.test_per_class;
+  synth.seed = cfg.seed;
+  synth.train_blur_max = cfg.train_blur_max;
+  synth.train_noise_max = cfg.train_noise_max;
+  synth.noise_std = cfg.test_noise_std;
+  data::SynthGtsrb ds;
+  const double ms = median_ms(0, 3, [&] { ds = data::make_synthetic_gtsrb(synth); });
+  checks.expect(images_crc(ds.train) == images_crc(exp.dataset.train) &&
+                    images_crc(ds.test) == images_crc(exp.dataset.test),
+                "data.synth probe: its data differ from make_experiment's");
+  return ms;
+}
+
+void run_layer_probes(const core::Experiment& exp, Checks& checks,
                       std::vector<Metric>& layer) {
-  const core::InferencePipeline lap(setup.model, filters::make_lap(32));
+  const core::ExperimentConfig& cfg = exp.config;
+  layer.push_back({"data.synth_ms", synth_probe_ms(exp, checks), "ms"});
+  const core::InferencePipeline lap(exp.model, filters::make_lap(32));
   const auto tm3 = core::ThreatModel::kIII;
   for (int64_t n : {1, 8, 32}) {
-    const Tensor batch = test_batch(setup, n);
+    const Tensor batch = test_batch(exp, n);
     layer.push_back({"core.predict_ms.b" + std::to_string(n),
                      median_ms(5, 40, [&] {
                        (void)lap.predict_probs_batch(batch, tm3);
                      }),
                      "ms"});
   }
-  const Tensor b8 = test_batch(setup, 8);
+  const Tensor b8 = test_batch(exp, 8);
   const std::vector<int64_t> targets(8, 14);
   const core::BatchObjective objective =
       attacks::batch_targeted_cross_entropy(targets);
@@ -1239,7 +1273,7 @@ void run_layer_probes(const core::ExperimentConfig& cfg, const Setup& setup,
   layer.push_back({"core.grad_ms.tm1.b8", grad_tm1_b8, "ms"});
   layer.push_back({"core.grad_over_predict.b8", grad_b8 / predict_b8, "ratio"});
 
-  const Tensor b32 = test_batch(setup, 32);
+  const Tensor b32 = test_batch(exp, 32);
   const Tensor g8 = b8.clone();
   for (const auto& [name, filter] :
        std::vector<std::pair<std::string, filters::FilterPtr>>{
@@ -1256,7 +1290,7 @@ void run_layer_probes(const core::ExperimentConfig& cfg, const Setup& setup,
 
   // Compile cost: a fresh pipeline has an empty plan cache.
   layer.push_back({"plan.compile_ms", median_ms(1, 10, [&] {
-                     const core::InferencePipeline fresh(setup.model,
+                     const core::InferencePipeline fresh(exp.model,
                                                          filters::make_lap(32));
                      (void)fresh.compile_plan(b8.shape(), tm3);
                    }),
@@ -1270,9 +1304,9 @@ void run_layer_probes(const core::ExperimentConfig& cfg, const Setup& setup,
     sgd_config.lr = cfg.lr;
     nn::SGD sgd(model->named_parameters(), sgd_config);
     const Tensor b16 = nn::stack_images(std::vector<Tensor>(
-        setup.data.train.images.begin(), setup.data.train.images.begin() + 16));
-    const std::vector<int64_t> labels(setup.data.train.labels.begin(),
-                                      setup.data.train.labels.begin() + 16);
+        exp.dataset.train.images.begin(), exp.dataset.train.images.begin() + 16));
+    const std::vector<int64_t> labels(exp.dataset.train.labels.begin(),
+                                      exp.dataset.train.labels.begin() + 16);
     layer.push_back({"nn.train_step_ms.b16", median_ms(3, 30, [&] {
                        autograd::Variable x{b16};
                        autograd::Variable loss =
@@ -1307,17 +1341,16 @@ void run_layer_probes(const core::ExperimentConfig& cfg, const Setup& setup,
 
 /// Tracing overhead: evaluate passes alternately untraced and traced;
 /// the relative difference of their median times, in percent.
-double tracing_overhead_pct(const Setup& setup, const Regime& regime,
+double tracing_overhead_pct(const core::Experiment& exp,
                             perfbench::Tracer& tracer) {
-  const auto pipelines = evaluate_pipelines(setup.model);
-  const data::Dataset set = evaluate_set(setup, regime);
+  const auto pipelines = evaluate_pipelines(exp.model);
   std::vector<double> off;
   std::vector<double> on;
   for (int i = 0; i < 5; ++i) {
     tracer.set_enabled(false);
-    off.push_back(evaluate_pass(pipelines, set, regime.batched, tracer).seconds);
+    off.push_back(evaluate_pass(pipelines, exp.dataset.test, tracer).seconds);
     tracer.set_enabled(true);
-    on.push_back(evaluate_pass(pipelines, set, regime.batched, tracer).seconds);
+    on.push_back(evaluate_pass(pipelines, exp.dataset.test, tracer).seconds);
   }
   return (perfbench::median(on) / perfbench::median(off) - 1.0) * 100.0;
 }
@@ -1352,8 +1385,8 @@ Options parse(int argc, char** argv) {
       o.seconds = std::stod(value);
     } else if (flag == "--trace") {
       o.trace = value == "1";
-    } else if (flag == "--model") {
-      o.model = value;
+    } else if (flag == "--model-dir") {
+      o.model_dir = value;
     } else if (flag == "--work") {
       o.work = value;
     } else if (flag == "--prepare-model") {
@@ -1367,11 +1400,11 @@ Options parse(int argc, char** argv) {
 
 int run(const Options& opt) {
   const Regime regime = regime_for(opt.workload);
-  if (opt.seconds < 10.0 || opt.model.empty() || opt.work.empty()) {
-    throw std::invalid_argument("need --model, --work and --seconds >= 10");
+  if (opt.seconds < 10.0 || opt.model_dir.empty() || opt.work.empty()) {
+    throw std::invalid_argument("need --model-dir, --work and --seconds >= 10");
   }
   std::filesystem::create_directories(opt.work);
-  const core::ExperimentConfig cfg;
+  const core::ExperimentConfig cfg = experiment_config(opt.model_dir);
   perfbench::Tracer tracer;
   tracer.set_enabled(opt.trace);
   Checks checks;
@@ -1379,26 +1412,28 @@ int run(const Options& opt) {
   std::vector<Metric> layer;
   std::map<std::string, Ops> ops;
 
-  // Setup: data, verified model load and the accuracy floor, repeated.
+  // Setup, repeated: data, verified model load and the accuracy floor.
   std::vector<double> setup_s;
-  Setup setup;
+  core::Experiment exp;
   for (int i = 0; i < kSetupRepeats; ++i) {
     const auto t0 = Clock::now();
-    setup = run_setup(cfg, opt.model, tracer);
+    exp = run_setup(cfg, tracer);
     setup_s.push_back(seconds_since(t0));
   }
-  const uint32_t crc = parameter_crc(*setup.model);
+  log_series("setup s", setup_s);
+  const uint32_t crc = parameter_crc(*exp.model);
 
   // The measured window is split into rounds, each running every phase
   // for its share, so slow stretches of the machine fall on all phases
   // alike. Every phase runs at least one pass per round, so rounds overrun
   // their share a little; once the window has overrun by a quarter (a
   // heavily loaded machine stretches every pass), no round starts beyond
-  // the two the output checks need.
-  Craft craft(setup, regime, opt.seed, checks, tracer);
-  Evaluate evaluate(setup, regime, checks, tracer);
-  Serve serve(cfg, opt.model, setup, regime, opt.seed, checks, tracer);
-  Train train(cfg, setup, opt.seed, opt.work, checks, tracer);
+  // the two the output checks need. The rate ladder climbs every other
+  // round, starting with the first, so even a cut window has a climb.
+  Craft craft(exp, regime, opt.seed, checks, tracer);
+  Evaluate evaluate(exp, checks, tracer);
+  Serve serve(exp, regime, opt.seed, checks, tracer);
+  Train train(exp, opt.seed, opt.work, checks, tracer);
   const double round_s = opt.seconds / kRounds;
   const auto window_start = Clock::now();
   for (int r = 0; r < kRounds; ++r) {
@@ -1408,7 +1443,9 @@ int run(const Options& opt) {
     craft.round(0.28 * round_s);
     evaluate.round(0.12 * round_s);
     serve.round(0.30 * round_s);
-    serve.ladder(0.035 * round_s);
+    if (r % 2 == 0) {
+      serve.ladder(0.035 * round_s);
+    }
     train.round(0.12 * round_s);
   }
   craft.finish(ops["craft"], e2e, layer);
@@ -1438,7 +1475,6 @@ int run(const Options& opt) {
                      "ms"});
     layer.push_back({"nn.checkpoint_load_ms", mean_ms("nn.checkpoint_load"),
                      "ms"});
-    layer.push_back({"data.synth_ms", mean_ms("data.synth"), "ms"});
     layer.push_back({"serve.submit_us", mean_ms("serve.submit") * 1000.0,
                      "us"});
     std::fprintf(stderr, "[perfbench] spans: name count total_ms self_ms\n");
@@ -1446,9 +1482,9 @@ int run(const Options& opt) {
       std::fprintf(stderr, "  %-28s %8lld %12.3f %12.3f\n", name.c_str(),
                    static_cast<long long>(t.count), t.total_ms, t.self_ms);
     }
-    run_layer_probes(cfg, setup, layer);
-    layer.push_back({"trace.overhead_pct",
-                     tracing_overhead_pct(setup, regime, tracer), "%"});
+    run_layer_probes(exp, checks, layer);
+    layer.push_back({"trace.overhead_pct", tracing_overhead_pct(exp, tracer),
+                     "%"});
     layer.push_back({"trace.span_ns", span_cost_ns(), "ns"});
   }
 
@@ -1463,7 +1499,7 @@ int run(const Options& opt) {
        << ", \"hardware_concurrency\": " << std::thread::hardware_concurrency()
        << ", \"plans\": " << (plan::plans_enabled() ? "true" : "false")
        << ", \"model_crc\": \"" << std::hex << crc << std::dec
-       << "\", \"clean_top1\": " << json_number(setup.top1)
+       << "\", \"clean_top1\": " << json_number(exp.clean_test.top1)
        << ", \"top1_floor\": " << kTop1Floor << "}, \"operations\": {";
   bool first = true;
   for (const auto& [phase, o] : ops) {

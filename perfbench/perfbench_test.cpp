@@ -84,6 +84,59 @@ TEST(WindowedLatency, WindowsHoldEnoughSamplesForAP99) {
   EXPECT_THROW(windowed_latency({small}), std::runtime_error);
 }
 
+// ---- rate ladder ---------------------------------------------------------------
+
+TEST(RateLadder, GeometricSteps) {
+  const std::vector<double> rates = rate_ladder(1500.0, 7500.0);
+  ASSERT_GE(rates.size(), 2u);
+  EXPECT_EQ(rates.front(), 1500.0);
+  EXPECT_LE(rates.back(), 7500.0);
+  EXPECT_GT(rates.back() * 1.06, 7500.0);
+  for (size_t i = 1; i < rates.size(); ++i) {
+    EXPECT_NEAR(rates[i] / rates[i - 1], 1.06, 0.01) << i;
+  }
+}
+
+TEST(RateLadder, RungsHoldEnoughRequestsForAP99) {
+  for (double rate : {500.0, 1500.0, 3000.0, 7500.0, 14800.0}) {
+    const double s = rung_seconds(rate, 0.2);
+    EXPECT_GE(s, 0.2);
+    EXPECT_GE(rate * s, 1.25 * static_cast<double>(kWindowSamples)) << rate;
+  }
+  EXPECT_EQ(rung_seconds(100000.0, 0.2), 0.2);
+}
+
+LatencySeries steady_rung(int64_t n, double duration_s, double ms) {
+  LatencySeries seg;
+  for (int64_t i = 0; i < n; ++i) {
+    seg.emplace_back(duration_s * static_cast<double>(i) /
+                         static_cast<double>(n),
+                     ms);
+  }
+  return seg;
+}
+
+TEST(RateLadder, RungJudgement) {
+  // 1100 requests at 2 ms each over one second: holds under a 25 ms limit.
+  LatencySeries seg = steady_rung(1100, 1.0, 2.0);
+  EXPECT_TRUE(rung_holds(seg, 0, 1.0, 25.0));
+  // Any failed request misses.
+  EXPECT_FALSE(rung_holds(seg, 1, 1.0, 25.0));
+  // Too few requests for a p99 by the tail rule: not judged as holding.
+  EXPECT_FALSE(rung_holds(steady_rung(999, 1.0, 2.0), 0, 1.0, 25.0));
+  // Twelve slow requests (more than 1 %) put the p99 over the limit.
+  for (int i = 0; i < 12; ++i) {
+    seg[static_cast<size_t>(90 * i + 45)].second = 30.0;
+  }
+  EXPECT_FALSE(rung_holds(seg, 0, 1.0, 25.0));
+  // A backlog that grows: latency climbs linearly from 1 to 12 ms.
+  LatencySeries growing = steady_rung(1100, 1.0, 0.0);
+  for (size_t i = 0; i < growing.size(); ++i) {
+    growing[i].second = 1.0 + 11.0 * static_cast<double>(i) / 1100.0;
+  }
+  EXPECT_FALSE(rung_holds(growing, 0, 1.0, 25.0));
+}
+
 // ---- seeded inputs -------------------------------------------------------------
 
 std::vector<int64_t> labels_8_per_class(int64_t classes) {

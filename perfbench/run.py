@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the repository benchmark from the root of a checkout.
 
-    python3 perfbench/run.py --workload batched|single --seed N \
+    python3 perfbench/run.py --workload batched|per_image --seed N \
         --seconds S --trace 0|1
 
 Builds the fademl library and the benchmark binary from this checkout into
 .bench_build/ (first run only), runs the benchmark's own tests, and prepares
-the model every run loads: the default experiment model trained from its
-fixed seed by the code under test, cached in .bench_build/model/ under the
-binary's hash, so a cache never outlives the code that trained it. Nothing
-is read from or written to artifacts/.
+the model every run loads: the default experiment of core::make_experiment,
+trained from its fixed seed by the code under test into a cache directory
+.bench_build/model/<binary hash>/, so a cache never outlives the code that
+trained it. Nothing is read from or written to artifacts/.
 
 Then runs one measurement and prints, as the last stdout line, one JSON
 object {correct, attempted, failed, metrics}: with --trace 0 every
@@ -69,12 +69,14 @@ def build():
 
 
 def prepare_model():
-    """The checkpoint every run loads, trained once per binary."""
-    path = os.path.join(BUILD, "model", f"model-{file_hash(BINARY)}.fdml")
-    if not os.path.exists(path):
-        log(f"training the benchmark model into {path}")
-        check_call([BINARY, "--prepare-model", path])
-    return path
+    """The model cache every run loads, trained once per binary."""
+    cache = os.path.join(BUILD, "model", file_hash(BINARY))
+    stamp = os.path.join(cache, "prepared")
+    if not os.path.exists(stamp):
+        log(f"training the benchmark model into {cache}")
+        check_call([BINARY, "--prepare-model", cache])
+        open(stamp, "w").close()
+    return cache
 
 
 def declared_metrics():
@@ -92,16 +94,16 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
-    for need in ("CMakeLists.txt", "src", "include", "BENCHMARK.json"):
+    for need in ("CMakeLists.txt", "src", "include", "bench", "BENCHMARK.json"):
         if not os.path.exists(os.path.join(ROOT, need)):
             log(f"no {need} at {ROOT}: run from the root of a fademl checkout")
             return 2
     end_to_end, per_layer = declared_metrics()
 
     build()
-    model = prepare_model()
+    model_dir = prepare_model()
     work = os.path.join(BUILD, "work", str(os.getpid()))
-    cmd = [BINARY, "--model", model, "--work", work,
+    cmd = [BINARY, "--model-dir", model_dir, "--work", work,
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     try:
