@@ -177,6 +177,32 @@ inline double best_rate(const std::vector<double>& per_pass) {
   return *std::max_element(per_pass.begin(), per_pass.end());
 }
 
+/// The best_rate of a pass made of the same steps every time: `work` per
+/// the sum, over steps, of each step's fastest time across passes
+/// (`seconds[pass][step]`). A step of a fraction of a second finds a calm
+/// stretch of the machine far more often than a whole pass of seconds.
+inline double best_composite_rate(
+    double work, const std::vector<std::vector<double>>& seconds) {
+  if (seconds.empty()) {
+    throw std::invalid_argument("best_composite_rate of no passes");
+  }
+  double total = 0.0;
+  for (size_t step = 0; step < seconds.front().size(); ++step) {
+    double fastest = seconds.front()[step];
+    for (const std::vector<double>& pass : seconds) {
+      if (pass.size() != seconds.front().size()) {
+        throw std::invalid_argument("best_composite_rate: passes differ in steps");
+      }
+      fastest = std::min(fastest, pass[step]);
+    }
+    total += fastest;
+  }
+  if (total <= 0.0) {
+    throw std::invalid_argument("best_composite_rate of no time");
+  }
+  return work / total;
+}
+
 /// How many of `n` samples lie above the nearest-rank p-th percentile.
 inline int64_t samples_beyond(int64_t n, double p) {
   const auto rank = static_cast<int64_t>(

@@ -32,6 +32,17 @@ TEST(Percentile, BestRateIsTheFastestPass) {
   EXPECT_THROW(best_rate({}), std::invalid_argument);
 }
 
+TEST(Percentile, BestCompositeRateSumsEachStepsFastestTime) {
+  // Step 0 is fastest in pass 1, step 1 in pass 0: 12 / (1 + 2).
+  EXPECT_DOUBLE_EQ(best_composite_rate(12.0, {{3.0, 2.0}, {1.0, 5.0}}), 4.0);
+  // A step that takes no time (work reused from an earlier step) adds none.
+  EXPECT_DOUBLE_EQ(best_composite_rate(6.0, {{2.0, 0.0}, {3.0, 0.0}}), 3.0);
+  EXPECT_THROW(best_composite_rate(1.0, {}), std::invalid_argument);
+  EXPECT_THROW(best_composite_rate(1.0, {{1.0}, {1.0, 2.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(best_composite_rate(1.0, {{0.0}}), std::invalid_argument);
+}
+
 TEST(Percentile, SamplesBeyond) {
   EXPECT_EQ(samples_beyond(1000, 99.0), 10);
   EXPECT_EQ(samples_beyond(999, 99.0), 9);
